@@ -124,6 +124,35 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestReproduceOutputGolden runs the full paper reproduction at seed 1 and
+// requires stdout to match the committed reproduce_output.txt byte for
+// byte, so any change to a reproduced table shows up as a test failure
+// rather than a silent diff. A full-scale run takes seconds to minutes, so
+// the test is skipped under -short.
+func TestReproduceOutputGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale reproduction; skipped with -short")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "reproduce_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := runQuiet(t, []string{"-scale", "1", "-seed", "1"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("stdout differs from reproduce_output.txt at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("stdout has %d lines, reproduce_output.txt %d", len(gl), len(wl))
+}
+
 func TestJSONOutput(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runQuiet(t, []string{"-run", "F2", "-scale", "0.1", "-json"}, &buf); err != nil {

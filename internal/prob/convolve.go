@@ -13,8 +13,16 @@ package prob
 // DP leaf whenever the merge costs more than it saves. fftUnitCost is the
 // measured price of one FFT butterfly-equivalent in DP units (tuned with
 // BenchmarkPoissonBinomialPMF; see DESIGN.md "Performance kernels").
+//
+// One tree (convTree) serves every exact evaluator — transient, fork-join
+// and the retained DeltaTree — with one split rule (splitSegment), one
+// merge (Workspace.merge) and the leaf kernel as its only parameter, so the
+// evaluators agree bit for bit by construction.
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 const (
 	// Re-tuned from 4: the paired-FMA DP leaves run closer to peak than the
@@ -34,8 +42,6 @@ func fftMergeCost(resultLen int) int64 {
 	m := int64(1) << lg
 	return fftUnitCost * m * int64(lg)
 }
-
-// --- Poisson binomial ---
 
 // pbDPCost is the DP cost of a k-voter Poisson-binomial segment:
 // sum_{i=1..k} i updates.
@@ -64,34 +70,174 @@ func WeightedMajorityDPCost(k, w int) int64 {
 	return int64(k) * int64(w)
 }
 
-// pbDC computes the PMF of ps[lo:hi] into an arena slice of length
-// hi-lo+1.
-func (ws *Workspace) pbDC(ps []float64, lo, hi int) []float64 {
-	k := hi - lo
-	if k < dcMinLeaf || pbSplitGain(k) <= fftMergeCost(k+1) {
-		cDCDPLeaves.Inc()
-		f := ws.alloc(k + 1)
-		pbDPInto(f, ps[lo:hi])
-		return f
+// prefixAt returns the total weight of the first i voters of a sequence
+// with prefix-weight table pw (pw[i] = weight of voters[:i]). A nil table
+// stands for unit weights, the Poisson-binomial case.
+func prefixAt(pw []int64, i int) int64 {
+	if pw == nil {
+		return int64(i)
 	}
-	cDCFFTMerges.Inc()
-	mid := lo + k/2
-	mark := ws.off
-	fl := ws.pbDC(ps, lo, mid)
-	fr := ws.pbDC(ps, mid, hi)
-	res := ws.convolve(fl, fr)
-	ws.off = mark
-	out := ws.alloc(k + 1)
-	copyClampNonneg(out, res)
-	return out
+	return pw[i]
 }
 
-// pbSplitGain is the DP work avoided by splitting a k-voter segment in
-// half (the second half no longer sweeps the first half's support).
-func pbSplitGain(k int) int64 {
-	l := int64(k) / 2
-	r := int64(k) - l
-	return pbDPCost(int64(k)) - pbDPCost(l) - pbDPCost(r)
+// dpCost is the quadratic DP's cost on voters [lo, hi): each voter sweeps
+// the support reached so far. On unit weights the sum is pbDPCost(hi-lo).
+func dpCost(pw []int64, lo, hi int) int64 {
+	if pw == nil {
+		return pbDPCost(int64(hi - lo))
+	}
+	var c int64
+	for i := lo; i < hi; i++ {
+		c += pw[i+1] - pw[lo]
+	}
+	return c
+}
+
+// splitSegment is the tree's leaf-or-split rule. It reports split == false
+// when the segment [lo, hi) is a DP leaf: fewer than dcMinLeaf voters, or a
+// split would save no more DP work than its merge costs. Otherwise mid is
+// the weight-balanced split point, the smallest index in (lo, hi) whose
+// left weight reaches half the segment's, which keeps both convolution
+// operands (and so the padded FFT size) small. On unit weights mid is
+// lo+(hi-lo)/2. Every decision depends only on prefix-weight differences
+// inside the segment, so a segment's subtree is the same wherever the
+// segment sits in the sequence.
+func splitSegment(pw []int64, lo, hi int) (mid int, split bool) {
+	if hi-lo < dcMinLeaf {
+		return 0, false
+	}
+	base := prefixAt(pw, lo)
+	w := prefixAt(pw, hi) - base
+	target := base + w/2
+	a, b := lo+1, hi-1
+	for a < b {
+		m := (a + b) / 2
+		if prefixAt(pw, m) < target {
+			a = m + 1
+		} else {
+			b = m
+		}
+	}
+	gain := dpCost(pw, lo, hi) - dpCost(pw, lo, a) - dpCost(pw, a, hi)
+	return a, gain > fftMergeCost(int(w)+1)
+}
+
+// convTree is one walk of the weight-balanced convolution tree over a voter
+// sequence. The same build runs in three modes:
+//
+//   - transient (fork and keep nil): partial PMFs live in a Workspace
+//     arena, rolled back to the node's mark after each merge;
+//   - fork-join (fork set): as transient, but a node may hand its right
+//     subtree to a new goroutine with a pooled workspace (see spawn);
+//   - retained (keep set): every node is a heap deltaNode kept by the
+//     DeltaTree, and unchanged subtrees of its previous tree are adopted.
+//
+// The leaf kernel is the only per-input difference: pbDPInto for
+// Poisson-binomial probabilities, wmDPInto for weighted voters.
+type convTree[V float64 | WeightedVoter] struct {
+	vs   []V
+	leaf func(f []float64, vs []V)
+	pw   []int64 // prefix weights of vs; nil for unit weights
+	fork *forkBudget
+	keep *DeltaTree
+}
+
+// pbTree is the tree over Poisson-binomial probabilities.
+func pbTree(ps []float64) convTree[float64] {
+	return convTree[float64]{vs: ps, leaf: pbDPInto}
+}
+
+// wmTree is the tree over weighted voters; its prefix weights live in ws.
+func (ws *Workspace) wmTree(voters []WeightedVoter) convTree[WeightedVoter] {
+	return convTree[WeightedVoter]{vs: voters, leaf: wmDPInto, pw: ws.prefixWeights(voters)}
+}
+
+// eval computes the PMF of the whole sequence into ws's arena; the result
+// is valid until the next kernel call on ws. workers > 1 runs the fork-join
+// mode under a budget of that many goroutines, and only then is ctx read.
+func (c convTree[V]) eval(ctx context.Context, ws *Workspace, workers int) ([]float64, error) {
+	ws.reset(3*(int(prefixAt(c.pw, len(c.vs)))+1) + 64)
+	if workers > 1 {
+		c.fork = newForkBudget(workers)
+	}
+	f, _, err := c.build(ctx, ws, 0, len(c.vs))
+	return f, err
+}
+
+// build returns the PMF of voters [lo, hi), and in retained mode its node.
+// The float operations and their order are fixed by the segment alone —
+// leaf kernel, split points, merge order — so all three modes write the
+// same bytes for the same segment. ctx is read only in fork-join mode; the
+// transient and retained modes cannot be cancelled and pass nil.
+func (c convTree[V]) build(ctx context.Context, ws *Workspace, lo, hi int) ([]float64, *deltaNode, error) {
+	if c.fork != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if c.keep != nil {
+		if nd := c.keep.reusable(lo, hi); nd != nil {
+			c.keep.stats.ReusedNodes++
+			cDeltaNodesReused.Inc()
+			return nd.pmf, nd, nil
+		}
+	}
+	size := int(prefixAt(c.pw, hi)-prefixAt(c.pw, lo)) + 1
+	mid, split := splitSegment(c.pw, lo, hi)
+	if !split {
+		cDCDPLeaves.Inc()
+		f := c.alloc(ws, size)
+		c.leaf(f, c.vs[lo:hi])
+		if c.keep == nil {
+			return f, nil, nil
+		}
+		c.keep.stats.RecomputedLeaves++
+		return f, &deltaNode{span: hi - lo, pmf: f}, nil
+	}
+	cDCFFTMerges.Inc()
+	mark := ws.off
+	var childWS *Workspace
+	var join chan forkResult
+	if c.fork != nil && size >= parForkMinWeight && c.fork.tryAcquire() {
+		childWS, join = c.spawn(ctx, mid, hi)
+	}
+	fl, left, err := c.build(ctx, ws, lo, mid)
+	var fr []float64
+	var right *deltaNode
+	if join != nil {
+		r := <-join
+		fr = r.f
+		if err == nil {
+			err = r.err
+		}
+	} else if err == nil {
+		fr, right, err = c.build(ctx, ws, mid, hi)
+	}
+	var f []float64
+	if err == nil {
+		// The merge reads both operands before writing, so the output may
+		// reuse the arena the left operand occupies.
+		ws.off = mark
+		f = c.alloc(ws, size)
+		ws.merge(f, fl, fr)
+	}
+	if childWS != nil {
+		parWSPool.Put(childWS)
+	}
+	if err != nil || c.keep == nil {
+		return f, nil, err
+	}
+	c.keep.stats.RecomputedMerges++
+	return f, &deltaNode{span: hi - lo, pmf: f, left: left, right: right}, nil
+}
+
+// alloc returns storage for a node's PMF: the heap in retained mode, whose
+// nodes outlive the walk, and the arena otherwise.
+func (c convTree[V]) alloc(ws *Workspace, n int) []float64 {
+	if c.keep != nil {
+		return make([]float64, n)
+	}
+	return ws.alloc(n)
 }
 
 // pbDPInto runs the exact O(k^2) convolution DP over ps into f, which must
@@ -133,63 +279,6 @@ func pbDPInto(f []float64, ps []float64) {
 		}
 		f[0] *= q
 	}
-}
-
-// --- Weighted majority ---
-
-// wmDC computes the PMF of voters[lo:hi] into an arena slice. pw holds
-// prefix weights: pw[i] = sum of voters[:i] weights, so the segment's
-// total weight is pw[hi]-pw[lo].
-func (ws *Workspace) wmDC(voters []WeightedVoter, pw []int64, lo, hi int) []float64 {
-	w := int(pw[hi] - pw[lo])
-	if hi-lo < dcMinLeaf || wmSplitGain(pw, lo, hi) <= fftMergeCost(w+1) {
-		cDCDPLeaves.Inc()
-		f := ws.alloc(w + 1)
-		wmDPInto(f, voters[lo:hi])
-		return f
-	}
-	cDCFFTMerges.Inc()
-	mid := wmSplitPoint(pw, lo, hi)
-	mark := ws.off
-	fl := ws.wmDC(voters, pw, lo, mid)
-	fr := ws.wmDC(voters, pw, mid, hi)
-	res := ws.convolve(fl, fr)
-	ws.off = mark
-	out := ws.alloc(w + 1)
-	copyClampNonneg(out, res)
-	return out
-}
-
-// wmDPCost is the naive DP cost of a segment: each voter sweeps the
-// support reached so far.
-func wmDPCost(pw []int64, lo, hi int) int64 {
-	var c int64
-	for i := lo; i < hi; i++ {
-		c += pw[i+1] - pw[lo]
-	}
-	return c
-}
-
-func wmSplitGain(pw []int64, lo, hi int) int64 {
-	mid := wmSplitPoint(pw, lo, hi)
-	return wmDPCost(pw, lo, hi) - wmDPCost(pw, lo, mid) - wmDPCost(pw, mid, hi)
-}
-
-// wmSplitPoint picks the weight-balanced split index in (lo, hi): the
-// smallest mid whose left weight reaches half the segment's, which keeps
-// both convolution operands (and so the padded FFT size) small.
-func wmSplitPoint(pw []int64, lo, hi int) int {
-	target := pw[lo] + (pw[hi]-pw[lo])/2
-	a, b := lo+1, hi-1
-	for a < b {
-		m := (a + b) / 2
-		if pw[m] < target {
-			a = m + 1
-		} else {
-			b = m
-		}
-	}
-	return a
 }
 
 // wmDPInto runs the exact O(k*W) DP over voters into f, which must have
@@ -254,18 +343,4 @@ func (ws *Workspace) prefixWeights(voters []WeightedVoter) []int64 {
 		pw[i+1] = pw[i] + int64(v.Weight)
 	}
 	return pw
-}
-
-// copyClampNonneg copies src into dst, clamping the tiny negative values
-// FFT rounding can produce (magnitude ~1e-16) to zero so downstream code
-// always sees a valid mass function.
-//
-//lint:hotpath
-func copyClampNonneg(dst, src []float64) {
-	for i, v := range src {
-		if v < 0 {
-			v = 0
-		}
-		dst[i] = v
-	}
 }

@@ -1,7 +1,9 @@
 package prob
 
 import (
+	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"liquid/internal/rng"
@@ -26,7 +28,6 @@ func naiveDFT(re, im []float64) ([]float64, []float64) {
 }
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
-	ws := NewWorkspace()
 	s := rng.New(41)
 	for lg := 1; lg <= 8; lg++ {
 		n := 1 << lg
@@ -37,7 +38,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 			im[i] = s.Float64() - 0.5
 		}
 		wantR, wantI := naiveDFT(re, im)
-		fftCore(re, im, ws.tables(lg), lg)
+		fftCore(re, im, fftTablesFor(lg), lg)
 		for i := range re {
 			if math.Abs(re[i]-wantR[i]) > 1e-9 || math.Abs(im[i]-wantI[i]) > 1e-9 {
 				t.Fatalf("n=%d bin %d: got (%g,%g) want (%g,%g)", n, i, re[i], im[i], wantR[i], wantI[i])
@@ -60,10 +61,8 @@ func TestConvolveMatchesDirect(t *testing.T) {
 		}
 		want := make([]float64, len(a)+len(b)-1)
 		convDirect(a, b, want)
-		got := ws.convolve(a, b)
-		if len(got) != len(want) {
-			t.Fatalf("sizes %v: got length %d, want %d", sizes, len(got), len(want))
-		}
+		got := make([]float64, len(want))
+		ws.merge(got, a, b)
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-9*float64(len(want)) {
 				t.Fatalf("sizes %v: index %d: got %g want %g", sizes, i, got[i], want[i])
@@ -228,8 +227,12 @@ func TestBorrowingConstructors(t *testing.T) {
 	}
 }
 
-// FuzzConvolutionEquivalence feeds arbitrary voter encodings through both
-// PMF engines and requires total-variation agreement. Wired into the
+// FuzzConvolutionEquivalence feeds arbitrary voter encodings through every
+// build of the convolution tree. The transient PMF must match the naive DP
+// within 1e-9 total variation, and must be bit-identical to the fork-join
+// build at 2 and 4 workers, to a fresh DeltaTree, and — after one random
+// edit — to a DeltaTree patched by Update. On unit weights the weighted and
+// the Poisson-binomial entry points must agree bit for bit. Wired into the
 // `make check` fuzz-smoke stage.
 func FuzzConvolutionEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(10), uint8(4))
@@ -247,9 +250,53 @@ func FuzzConvolutionEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := NewWorkspace()
-		if tv := TotalVariation(wm.PMFWS(ws), wm.PMFNaive()); tv > 1e-9 {
+		want := append([]float64(nil), wm.PMFWS(NewWorkspace())...)
+		if tv := TotalVariation(want, wm.PMFNaive()); tv > 1e-9 {
 			t.Fatalf("seed=%d n=%d maxW=%d: TV %g > 1e-9", seed, nv, mw, tv)
+		}
+		for _, workers := range []int{2, 4} {
+			got, err := wmPMFParallel(context.Background(), NewWorkspace(), voters, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalBits(want, got) {
+				t.Fatalf("seed=%d n=%d maxW=%d: fork-join at %d workers differs from transient", seed, nv, mw, workers)
+			}
+		}
+		tree, err := NewDeltaTree(voters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalBits(want, tree.PMF()) {
+			t.Fatalf("seed=%d n=%d maxW=%d: fresh DeltaTree differs from transient", seed, nv, mw)
+		}
+		edited := mutate(rand.New(rand.NewSource(int64(seed))), voters, mw)
+		if err := tree.Update(edited); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewDeltaTree(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalBits(fresh.PMF(), tree.PMF()) {
+			t.Fatalf("seed=%d n=%d maxW=%d: updated DeltaTree differs from a fresh build", seed, nv, mw)
+		}
+
+		ps := make([]float64, nv)
+		for i := range voters {
+			voters[i].Weight = 1
+			ps[i] = voters[i].P
+		}
+		unit, err := NewWeightedMajority(voters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := NewPoissonBinomial(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalBits(unit.PMFWS(NewWorkspace()), pb.PMFWS(NewWorkspace())) {
+			t.Fatalf("seed=%d n=%d: unit weights differ between the weighted and Poisson-binomial entry points", seed, nv)
 		}
 	})
 }

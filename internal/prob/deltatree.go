@@ -1,7 +1,7 @@
 package prob
 
 // DeltaTree is the retained (persistent) form of the divide-and-conquer
-// PMF evaluator: the same weight-balanced tree pbDC/wmDC walk transiently,
+// PMF evaluator: the convolution tree (convTree) built in retained mode,
 // kept alive between evaluations so that a small edit to the voter multiset
 // recomputes only the merges whose segments changed — O(log n) convolutions
 // for a single-leaf edit instead of a full rebuild.
@@ -15,7 +15,7 @@ package prob
 // did not change is consequently the same bytes a from-scratch evaluation
 // would produce, and the root PMF equals WeightedMajority.PMFWS on the same
 // voter order no matter which subtrees were reused. For all-weight-1 voters
-// the cost model and the paired-FMA DP leaves coincide with the
+// the split rule and the paired-FMA DP leaves coincide with the
 // Poisson-binomial path (see wmDPInto), so one tree serves both the
 // weighted-majority and the P^D use.
 //
@@ -69,11 +69,10 @@ type DeltaTreeStats struct {
 type DeltaTree struct {
 	voters []WeightedVoter
 	prev   []WeightedVoter // retired buffer, reused on the next Update
-	pw     []int64
 	total  int
 	root   *deltaNode
 
-	re, im []float64 // FFT scratch, pre-ensured outside the merge kernel
+	scratch Workspace // prefix weights and merge scratch for builds
 
 	stats DeltaTreeStats
 
@@ -97,26 +96,26 @@ func NewDeltaTree(voters []WeightedVoter) (*DeltaTree, error) {
 	t := &DeltaTree{}
 	t.setVoters(voters, total)
 	t.stats.Builds++
-	t.root = t.build(0, len(t.voters))
+	t.build()
 	return t, nil
 }
 
-// setVoters installs the new sequence (copying into the retired buffer when
-// one is available) and rebuilds the prefix-weight table.
+// setVoters installs the new sequence, copying into the retired buffer
+// when one is available.
 func (t *DeltaTree) setVoters(voters []WeightedVoter, total int) {
 	buf := t.prev[:0]
 	buf = append(buf, voters...)
 	t.prev = t.voters
 	t.voters = buf
 	t.total = total
-	if cap(t.pw) < len(buf)+1 {
-		t.pw = make([]int64, len(buf)+1)
-	}
-	t.pw = t.pw[:len(buf)+1]
-	t.pw[0] = 0
-	for i, v := range buf {
-		t.pw[i+1] = t.pw[i] + int64(v.Weight)
-	}
+}
+
+// build runs the convolution tree over the current sequence in retained
+// mode, adopting the old subtrees an Update armed through reusable.
+func (t *DeltaTree) build() {
+	c := t.scratch.wmTree(t.voters)
+	c.keep = t
+	_, t.root, _ = c.build(nil, &t.scratch, 0, len(t.voters))
 }
 
 // voterBitsEqual compares two voters exactly: weights and the bit patterns
@@ -165,7 +164,7 @@ func (t *DeltaTree) Update(voters []WeightedVoter) error {
 	}
 
 	t.setVoters(voters, total)
-	t.root = t.build(0, len(t.voters))
+	t.build()
 	t.oldRoot = nil // drop the reference so retired subtrees can be collected
 	return nil
 }
@@ -210,102 +209,6 @@ func (t *DeltaTree) reusable(lo, hi int) *deltaNode {
 	return nil
 }
 
-// build constructs (or adopts) the node for voters[lo:hi], making exactly
-// the leaf/split/merge decisions wmDC makes on the same segment.
-func (t *DeltaTree) build(lo, hi int) *deltaNode {
-	if nd := t.reusable(lo, hi); nd != nil {
-		t.stats.ReusedNodes++
-		cDeltaNodesReused.Inc()
-		return nd
-	}
-	w := int(t.pw[hi] - t.pw[lo])
-	if hi-lo < dcMinLeaf || wmSplitGain(t.pw, lo, hi) <= fftMergeCost(w+1) {
-		t.stats.RecomputedLeaves++
-		nd := &deltaNode{span: hi - lo, pmf: make([]float64, w+1)}
-		wmDPInto(nd.pmf, t.voters[lo:hi])
-		return nd
-	}
-	mid := wmSplitPoint(t.pw, lo, hi)
-	left := t.build(lo, mid)
-	right := t.build(mid, hi)
-	nd := &deltaNode{span: hi - lo, left: left, right: right, pmf: make([]float64, w+1)}
-	t.merge(nd)
-	t.stats.RecomputedMerges++
-	return nd
-}
-
-// merge fills nd.pmf with the convolution of its children, pre-ensuring
-// scratch and twiddle tables so the kernel itself allocates nothing.
-func (t *DeltaTree) merge(nd *deltaNode) {
-	a, b := nd.left.pmf, nd.right.pmf
-	if len(a)*len(b) <= convDirectThreshold {
-		deltaMergeInto(nd.pmf, a, b, nil, nil, nil, 0)
-		return
-	}
-	lg := ceilLog2(len(a) + len(b) - 1)
-	n := 1 << lg
-	if cap(t.re) < n {
-		t.re = make([]float64, n)
-		t.im = make([]float64, n)
-	}
-	deltaMergeInto(nd.pmf, a, b, t.re[:n], t.im[:n], fftTablesFor(lg), lg)
-}
-
-// deltaMergeInto is the root-path merge kernel: Workspace.convolve followed
-// by copyClampNonneg, fused into dst, with every float operation in the
-// same order — the merged bytes must equal what wmDC writes for the same
-// operands. The direct path needs no scratch; the FFT path requires re and
-// im of length 1 << lg and the matching twiddle tables, both provided by
-// the (unannotated) caller so this function stays allocation-free.
-//
-//lint:hotpath
-func deltaMergeInto(dst, a, b, re, im []float64, t *fftTables, lg int) {
-	outLen := len(a) + len(b) - 1
-	if len(a)*len(b) <= convDirectThreshold {
-		out := dst[:outLen]
-		convDirect(a, b, out)
-		for i, v := range out {
-			if v < 0 {
-				out[i] = 0
-			}
-		}
-		return
-	}
-	n := 1 << lg
-	copy(re, a)
-	zeroFloats(re[len(a):])
-	copy(im, b)
-	zeroFloats(im[len(b):])
-	fftCore(re, im, t, lg)
-	// Pointwise spectrum multiply via conjugate symmetry — the same
-	// separation convolve performs (see fft.go for the derivation).
-	re[0], im[0] = re[0]*im[0], 0
-	h := n / 2
-	re[h], im[h] = re[h]*im[h], 0
-	for k := 1; k < h; k++ {
-		k2 := n - k
-		zr1, zi1 := re[k], im[k]
-		zr2, zi2 := re[k2], im[k2]
-		ar := (zr1 + zr2) / 2
-		ai := (zi1 - zi2) / 2
-		br := (zi1 + zi2) / 2
-		bi := (zr2 - zr1) / 2
-		cr := ar*br - ai*bi
-		ci := ar*bi + ai*br
-		re[k], im[k] = cr, ci
-		re[k2], im[k2] = cr, -ci
-	}
-	fftCore(im, re, t, lg)
-	inv := 1 / float64(n)
-	for i := 0; i < outLen; i++ {
-		v := re[i] * inv
-		if v < 0 {
-			v = 0
-		}
-		dst[i] = v
-	}
-}
-
 // Len returns the number of voters in the current sequence.
 func (t *DeltaTree) Len() int { return len(t.voters) }
 
@@ -344,12 +247,11 @@ func (t *DeltaTree) Stats() DeltaTreeStats { return t.stats }
 
 // Clone returns a tree sharing every retained node with t. Because nodes
 // are immutable, updating either tree never disturbs the other; the clone
-// costs two O(n) slice copies and starts with fresh scratch and zeroed
+// costs one O(n) slice copy and starts with fresh scratch and zeroed
 // update stats (Builds reflects the shared initial build).
 func (t *DeltaTree) Clone() *DeltaTree {
 	c := &DeltaTree{
 		voters: append([]WeightedVoter(nil), t.voters...),
-		pw:     append([]int64(nil), t.pw...),
 		total:  t.total,
 		root:   t.root,
 	}

@@ -131,6 +131,47 @@ func TestDeltaTreeWeightOnePoissonBinomial(t *testing.T) {
 	}
 }
 
+// TestConvolutionTreeShape pins the tree's leaf-or-split decisions: a fresh
+// build's node counts on fixed weight profiles. The values are literals so
+// that a drift in the split rule, which every build mode would share and the
+// cross-mode equivalence checks therefore cannot see, fails here. The heavy
+// profile scatters a few heavy voters (weights up to 2001) among light ones,
+// the shape delegation produces.
+func TestConvolutionTreeShape(t *testing.T) {
+	unit := func(n int) []WeightedVoter {
+		vs := make([]WeightedVoter, n)
+		for i := range vs {
+			vs[i] = WeightedVoter{Weight: 1, P: 0.5}
+		}
+		return vs
+	}
+	heavy := make([]WeightedVoter, 2000)
+	for i := range heavy {
+		heavy[i] = WeightedVoter{Weight: 1 + 2000/(1+(i*7919)%2000), P: 0.5}
+	}
+	for _, tc := range []struct {
+		name           string
+		voters         []WeightedVoter
+		leaves, merges uint64
+	}{
+		{"unit31", unit(31), 1, 0},
+		{"unit32", unit(32), 1, 0},
+		{"unit300", unit(300), 1, 0},
+		{"unit1000", unit(1000), 8, 7},
+		{"unit4097", unit(4097), 16, 15},
+		{"heavy2000", heavy, 6, 5},
+	} {
+		tree, err := NewDeltaTree(tc.voters)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st := tree.Stats()
+		if st.RecomputedLeaves != tc.leaves || st.RecomputedMerges != tc.merges {
+			t.Errorf("%s: %d leaves, %d merges; want %d, %d", tc.name, st.RecomputedLeaves, st.RecomputedMerges, tc.leaves, tc.merges)
+		}
+	}
+}
+
 // mutate applies one random edit kind to a copy of voters.
 func mutate(r *rand.Rand, voters []WeightedVoter, maxW int) []WeightedVoter {
 	out := append([]WeightedVoter(nil), voters...)

@@ -33,12 +33,9 @@ var fftCache struct {
 	tabs [64]atomic.Pointer[fftTables]
 }
 
-// tables returns (building if needed) the twiddle tables for size 1 << lg.
-func (ws *Workspace) tables(lg int) *fftTables { return fftTablesFor(lg) }
-
-// fftTablesFor is the workspace-free table accessor: retained evaluators
-// (the DeltaTree merge path) fetch tables outside their allocation-free
-// kernel, so the kernel itself never touches the builder.
+// fftTablesFor returns (building if needed) the twiddle tables for size
+// 1 << lg. Callers fetch them outside the allocation-free merge kernel, so
+// the kernel itself never touches the builder.
 func fftTablesFor(lg int) *fftTables {
 	if t := fftCache.tabs[lg].Load(); t != nil {
 		return t
@@ -164,27 +161,48 @@ func fftCore(re, im []float64, t *fftTables, lg int) {
 // evaluated directly (per-output compensated sums) instead of via FFT.
 const convDirectThreshold = 1024
 
-// convolve returns the linear convolution of a and b (len(a)+len(b)-1
-// values) in workspace scratch. The result is valid until the next
-// convolve call on ws. Small products are evaluated directly; larger ones
-// go through one packed complex FFT of both real operands and one inverse.
-func (ws *Workspace) convolve(a, b []float64) []float64 {
-	outLen := len(a) + len(b) - 1
+// merge writes the linear convolution of a and b into dst[:len(a)+len(b)-1],
+// clamping the tiny negative values FFT rounding can produce (magnitude
+// ~1e-16) to zero so downstream code always sees a valid mass function.
+// dst may alias either operand. Small products are
+// evaluated directly; larger ones go through one packed complex FFT of both
+// real operands and one inverse. merge sizes the scratch and fetches the
+// twiddle tables so that mergeInto allocates nothing.
+func (ws *Workspace) merge(dst, a, b []float64) {
+	n := len(a) + len(b) - 1
 	if len(a)*len(b) <= convDirectThreshold {
-		ws.ensureFFT(outLen)
-		out := ws.fftRe[:outLen]
-		convDirect(a, b, out)
-		return out
+		ws.ensureFFT(n)
+		mergeInto(dst, a, b, ws.fftRe[:n], nil, nil, 0)
+		return
 	}
-	lg := ceilLog2(outLen)
+	lg := ceilLog2(n)
+	ws.ensureFFT(1 << lg)
+	mergeInto(dst, a, b, ws.fftRe[:1<<lg], ws.fftIm[:1<<lg], fftTablesFor(lg), lg)
+}
+
+// mergeInto is the tree's merge kernel; see merge. With t == nil it
+// convolves directly through re (length len(a)+len(b)-1); otherwise re and
+// im have length 1 << lg and t holds the matching twiddle tables. Both
+// paths read the operands fully before writing dst.
+//
+//lint:hotpath
+func mergeInto(dst, a, b, re, im []float64, t *fftTables, lg int) {
+	outLen := len(a) + len(b) - 1
+	if t == nil {
+		convDirect(a, b, re)
+		for i, v := range re {
+			if v < 0 {
+				v = 0
+			}
+			dst[i] = v
+		}
+		return
+	}
 	n := 1 << lg
-	ws.ensureFFT(n)
-	re, im := ws.fftRe[:n], ws.fftIm[:n]
 	copy(re, a)
 	zeroFloats(re[len(a):])
 	copy(im, b)
 	zeroFloats(im[len(b):])
-	t := ws.tables(lg)
 	fftCore(re, im, t, lg)
 
 	// Separate the two real spectra from the packed transform and multiply
@@ -211,11 +229,13 @@ func (ws *Workspace) convolve(a, b []float64) []float64 {
 	// the unnormalized real part of the inverse in re.
 	fftCore(im, re, t, lg)
 	inv := 1 / float64(n)
-	out := re[:outLen]
-	for i := range out {
-		out[i] *= inv
+	for i := 0; i < outLen; i++ {
+		v := re[i] * inv
+		if v < 0 {
+			v = 0
+		}
+		dst[i] = v
 	}
-	return out
 }
 
 // convDirect writes the convolution of a and b into out, each output cell

@@ -274,13 +274,13 @@ func CertifyMajority(s *SumStats, threshold float64) CertifiedInterval {
 // stays on the quadratic DP leaf (the whole evaluation is one exact DP, no
 // FFT anywhere, so the result carries zero approximation error), TierFFT
 // when the root splits and at least the final merge goes through FFT
-// convolution. The rule is the same leaf-vs-split decision pbDC makes at the
-// root, so the label always matches what the kernel actually does.
+// convolution. The rule is the tree's own leaf-or-split rule at the root,
+// so the label always matches what the kernel actually does.
 func ClassifyExactTier(n int) Tier {
-	if n < dcMinLeaf || pbSplitGain(n) <= fftMergeCost(n+1) {
-		return TierExact
+	if _, split := splitSegment(nil, 0, n); split {
+		return TierFFT
 	}
-	return TierFFT
+	return TierExact
 }
 
 // ParallelWorkerBudget chooses the fork-join worker budget for an n-voter
@@ -294,7 +294,7 @@ func ParallelWorkerBudget(n, max int) int {
 	if max < 1 {
 		max = 1
 	}
-	if ClassifyExactTier(n) == TierExact {
+	if _, split := splitSegment(nil, 0, n); !split {
 		return 1
 	}
 	w := n / parForkMinWeight

@@ -67,8 +67,15 @@ func TestPBPMFParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWMPMFParallelBitIdentical is the weighted-majority analogue,
-// including the majority-probability entry point.
+// wmPMFParallel runs the weighted-majority tree in fork-join mode. No
+// exported entry point reaches it, but it is the same build as the
+// Poisson-binomial one, so weighted inputs keep their fork-join coverage.
+func wmPMFParallel(ctx context.Context, ws *Workspace, voters []WeightedVoter, workers int) ([]float64, error) {
+	return ws.wmTree(voters).eval(ctx, ws, workers)
+}
+
+// TestWMPMFParallelBitIdentical is the weighted-majority analogue, run on
+// the tree's internal fork-join path.
 func TestWMPMFParallelBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	s := rng.New(43)
@@ -78,24 +85,14 @@ func TestWMPMFParallelBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqWS := NewWorkspace()
-			want := append([]float64(nil), wm.PMFWS(seqWS)...)
-			wantP := wm.ProbCorrectDecisionWS(seqWS)
+			want := append([]float64(nil), wm.PMFWS(NewWorkspace())...)
 			for _, workers := range []int{1, 3, 8} {
-				parWS := NewWorkspace()
-				got, err := wm.PMFParallelWS(ctx, parWS, workers)
+				got, err := wmPMFParallel(ctx, NewWorkspace(), wm.voters, workers)
 				if err != nil {
 					t.Fatalf("n=%d maxW=%d workers=%d: %v", n, maxW, workers, err)
 				}
 				if !equalBits(want, got) {
 					t.Fatalf("n=%d maxW=%d workers=%d: parallel PMF differs", n, maxW, workers)
-				}
-				gotP, err := wm.ProbCorrectDecisionParallelWS(ctx, parWS, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(gotP) != math.Float64bits(wantP) {
-					t.Fatalf("n=%d maxW=%d workers=%d: P correct %v != %v", n, maxW, workers, gotP, wantP)
 				}
 			}
 		}
@@ -119,7 +116,7 @@ func TestPMFParallelCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wm.PMFParallelWS(ctx, NewWorkspace(), 4); err != context.Canceled {
+	if _, err := wmPMFParallel(ctx, NewWorkspace(), wm.voters, 4); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -178,7 +175,7 @@ func TestWorkspacePoolHammer(t *testing.T) {
 				}
 				if err == nil {
 					var wmGot []float64
-					wmGot, err = c.wm.PMFParallelWS(ctx, ws, workers)
+					wmGot, err = wmPMFParallel(ctx, ws, c.wm.voters, workers)
 					if err == nil && !equalBits(c.wmF, wmGot) {
 						err = errDiff
 					}

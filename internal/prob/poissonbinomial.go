@@ -77,9 +77,8 @@ func (pb *PoissonBinomial) PMFNaive() []float64 {
 // FFT convolution (O(n log^2 n) work); below it the in-place DP runs
 // unchanged, so workspace reuse is the only difference for small inputs.
 func (pb *PoissonBinomial) PMFWS(ws *Workspace) []float64 {
-	n := len(pb.ps)
-	ws.reset(3*(n+1) + 64)
-	return ws.pbDC(pb.ps, 0, n)
+	f, _ := pbTree(pb.ps).eval(nil, ws, 1)
+	return f
 }
 
 // ProbAtLeast returns P[sum >= k].

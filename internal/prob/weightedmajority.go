@@ -98,9 +98,8 @@ func (wm *WeightedMajority) PMFNaive() []float64 {
 // crossover the voter set is split weight-balanced and halves are merged
 // by FFT convolution; below it the in-place DP runs unchanged.
 func (wm *WeightedMajority) PMFWS(ws *Workspace) []float64 {
-	ws.reset(3*(wm.total+1) + 64)
-	pw := ws.prefixWeights(wm.voters)
-	return ws.wmDC(wm.voters, pw, 0, len(wm.voters))
+	f, _ := ws.wmTree(wm.voters).eval(nil, ws, 1)
+	return f
 }
 
 // ProbAbove returns P[W > threshold].
